@@ -48,14 +48,14 @@ static constexpr Reg MachReg = Reg::R15;
 // Runtime helpers
 //
 // Heap-touching ops go through these instead of inline code: heap cells
-// are nested std::vectors, so their semantics stay defined once, in C++,
-// byte-identical to Machine::execOne. Helpers set Machine::trap()
-// themselves and report "trapped" through the second return register;
-// they never touch the Machine's operand stack or locals arenas (the
-// template code owns those via pinned pointers).
+// are nested std::vectors, so their semantics stay defined once, in
+// runtime/HeapOps.h, which Machine::execOne calls too. Each access helper
+// is one template instantiated per check level (IrOp::Checks). Helpers
+// set Machine::trap() themselves and report "trapped" through the second
+// return register (or rax for stores); they never touch the Machine's
+// operand stack or locals arenas (the template code owns those via
+// pinned pointers).
 //===----------------------------------------------------------------------===//
-
-extern "C" {
 
 /// Returned in rax (Value) and rdx (Trap) under the SysV ABI.
 struct JitHelperResult {
@@ -63,165 +63,64 @@ struct JitHelperResult {
   uint64_t Trap;
 };
 
-static JitHelperResult jtcJitIaload(Machine *M, int64_t Ref, int64_t Idx) {
-  Heap &H = M->heap();
-  if (!H.isLive(Ref) || H.classOf(Ref) != Heap::ArrayClass) {
-    M->setTrap(TrapKind::NullReference);
-    return {0, 1};
-  }
-  if (Idx < 0 || static_cast<size_t>(Idx) >= H.slotCount(Ref)) {
-    M->setTrap(TrapKind::ArrayBounds);
-    return {0, 1};
-  }
-  return {H.load(Ref, static_cast<size_t>(Idx)), 0};
+/// Records \p Kind on the Machine; 1 when it is a trap, else 0.
+static uint64_t trapped(Machine *M, TrapKind Kind) {
+  if (Kind == TrapKind::None)
+    return 0;
+  M->setTrap(Kind);
+  return 1;
 }
 
+template <CheckLevel L>
+static JitHelperResult jtcJitIaload(Machine *M, int64_t Ref, int64_t Idx) {
+  int64_t V = 0;
+  uint64_t T = trapped(M, arrayLoad<L>(M->heap(), Ref, Idx, V));
+  return {V, T};
+}
+
+template <CheckLevel L>
 static uint64_t jtcJitIastore(Machine *M, int64_t Ref, int64_t Idx,
                               int64_t Value) {
-  Heap &H = M->heap();
-  if (!H.isLive(Ref) || H.classOf(Ref) != Heap::ArrayClass) {
-    M->setTrap(TrapKind::NullReference);
-    return 1;
-  }
-  if (Idx < 0 || static_cast<size_t>(Idx) >= H.slotCount(Ref)) {
-    M->setTrap(TrapKind::ArrayBounds);
-    return 1;
-  }
-  H.store(Ref, static_cast<size_t>(Idx), Value);
-  return 0;
+  return trapped(M, arrayStore<L>(M->heap(), Ref, Idx, Value));
 }
 
+template <CheckLevel L>
 static JitHelperResult jtcJitArrayLength(Machine *M, int64_t Ref) {
-  Heap &H = M->heap();
-  if (!H.isLive(Ref) || H.classOf(Ref) != Heap::ArrayClass) {
-    M->setTrap(TrapKind::NullReference);
-    return {0, 1};
-  }
-  return {static_cast<int64_t>(H.slotCount(Ref)), 0};
+  int64_t V = 0;
+  uint64_t T = trapped(M, arrayLength<L>(M->heap(), Ref, V));
+  return {V, T};
 }
 
+template <CheckLevel L>
 static JitHelperResult jtcJitGetField(Machine *M, int64_t Ref, int64_t Slot) {
-  Heap &H = M->heap();
-  if (!H.isLive(Ref) || H.classOf(Ref) == Heap::ArrayClass) {
-    M->setTrap(TrapKind::NullReference);
-    return {0, 1};
-  }
-  if (static_cast<size_t>(Slot) >= H.slotCount(Ref)) {
-    M->setTrap(TrapKind::FieldBounds);
-    return {0, 1};
-  }
-  return {H.load(Ref, static_cast<size_t>(Slot)), 0};
+  int64_t V = 0;
+  uint64_t T = trapped(M, getField<L>(M->heap(), Ref, Slot, V));
+  return {V, T};
 }
 
+template <CheckLevel L>
 static uint64_t jtcJitPutField(Machine *M, int64_t Ref, int64_t Slot,
                                int64_t Value) {
-  Heap &H = M->heap();
-  if (!H.isLive(Ref) || H.classOf(Ref) == Heap::ArrayClass) {
-    M->setTrap(TrapKind::NullReference);
-    return 1;
-  }
-  if (static_cast<size_t>(Slot) >= H.slotCount(Ref)) {
-    M->setTrap(TrapKind::FieldBounds);
-    return 1;
-  }
-  H.store(Ref, static_cast<size_t>(Slot), Value);
-  return 0;
+  return trapped(M, putField<L>(M->heap(), Ref, Slot, Value));
 }
 
-//===--- Reduced-check variants (IrOp::ElideKind) ----------------------===//
-//
-// For heap accesses the trace-path alias analysis proved cannot fail a
-// check (Trace::MemElisions). NoNull keeps the bounds check but skips the
-// liveness/class check; Fast skips everything and so cannot trap at all
-// (the template emits no trap exit for it). Pop order, trap kinds and
-// Heap calls mirror Machine::execOneElided exactly.
-
-static JitHelperResult jtcJitIaloadNoNull(Machine *M, int64_t Ref,
-                                          int64_t Idx) {
-  Heap &H = M->heap();
-  if (Idx < 0 || static_cast<size_t>(Idx) >= H.slotCount(Ref)) {
-    M->setTrap(TrapKind::ArrayBounds);
-    return {0, 1};
-  }
-  return {H.load(Ref, static_cast<size_t>(Idx)), 0};
-}
-
-static int64_t jtcJitIaloadFast(Machine *M, int64_t Ref, int64_t Idx) {
-  return M->heap().load(Ref, static_cast<size_t>(Idx));
-}
-
-static uint64_t jtcJitIastoreNoNull(Machine *M, int64_t Ref, int64_t Idx,
-                                    int64_t Value) {
-  Heap &H = M->heap();
-  if (Idx < 0 || static_cast<size_t>(Idx) >= H.slotCount(Ref)) {
-    M->setTrap(TrapKind::ArrayBounds);
-    return 1;
-  }
-  H.store(Ref, static_cast<size_t>(Idx), Value);
-  return 0;
-}
-
-static void jtcJitIastoreFast(Machine *M, int64_t Ref, int64_t Idx,
-                              int64_t Value) {
-  M->heap().store(Ref, static_cast<size_t>(Idx), Value);
-}
-
-static int64_t jtcJitArrayLengthFast(Machine *M, int64_t Ref) {
-  return static_cast<int64_t>(M->heap().slotCount(Ref));
-}
-
-static JitHelperResult jtcJitGetFieldNoNull(Machine *M, int64_t Ref,
-                                            int64_t Slot) {
-  Heap &H = M->heap();
-  if (static_cast<size_t>(Slot) >= H.slotCount(Ref)) {
-    M->setTrap(TrapKind::FieldBounds);
-    return {0, 1};
-  }
-  return {H.load(Ref, static_cast<size_t>(Slot)), 0};
-}
-
-static int64_t jtcJitGetFieldFast(Machine *M, int64_t Ref, int64_t Slot) {
-  return M->heap().load(Ref, static_cast<size_t>(Slot));
-}
-
-static uint64_t jtcJitPutFieldNoNull(Machine *M, int64_t Ref, int64_t Slot,
-                                     int64_t Value) {
-  Heap &H = M->heap();
-  if (static_cast<size_t>(Slot) >= H.slotCount(Ref)) {
-    M->setTrap(TrapKind::FieldBounds);
-    return 1;
-  }
-  H.store(Ref, static_cast<size_t>(Slot), Value);
-  return 0;
-}
-
-static void jtcJitPutFieldFast(Machine *M, int64_t Ref, int64_t Slot,
-                               int64_t Value) {
-  M->heap().store(Ref, static_cast<size_t>(Slot), Value);
+/// The instantiation of an access helper for check level \p L.
+template <typename FnT>
+static const void *atLevel(CheckLevel L, FnT All, FnT NoNull, FnT None) {
+  FnT F = L == CheckLevel::All ? All : L == CheckLevel::NoNull ? NoNull : None;
+  return reinterpret_cast<const void *>(F);
 }
 
 static JitHelperResult jtcJitNew(Machine *M, int64_t ClassId) {
-  const Class &C = M->module().Classes[static_cast<size_t>(ClassId)];
-  int64_t Ref = M->heap().allocObject(static_cast<uint32_t>(ClassId),
-                                      C.NumFields);
-  if (Ref == Heap::Null) {
-    M->setTrap(TrapKind::OutOfMemory);
-    return {0, 1};
-  }
-  return {Ref, 0};
+  int64_t Ref = Heap::Null;
+  uint64_t T = trapped(M, newObject(M->heap(), M->module(), ClassId, Ref));
+  return {Ref, T};
 }
 
 static JitHelperResult jtcJitNewArray(Machine *M, int64_t Len) {
-  if (Len < 0) {
-    M->setTrap(TrapKind::NegativeArraySize);
-    return {0, 1};
-  }
-  int64_t Ref = M->heap().allocArray(Len);
-  if (Ref == Heap::Null) {
-    M->setTrap(TrapKind::OutOfMemory);
-    return {0, 1};
-  }
-  return {Ref, 0};
+  int64_t Ref = Heap::Null;
+  uint64_t T = trapped(M, newArray(M->heap(), Len, Ref));
+  return {Ref, T};
 }
 
 static void jtcJitIprint(Machine *M, int64_t Value) {
@@ -265,24 +164,14 @@ static uint64_t jtcJitCallVirtual(JitContext *JC, uint64_t SlotId,
   Machine *M = JC->Mach;
   size_t Top = static_cast<size_t>(JC->StackTop - M->operandStackData());
   M->resizeOperandStack(Top);
-  // Resolution replicates execOne's InvokeVirtual: receiver liveness, then
-  // vtable dispatch, trapping *before* the args are consumed.
-  const Module &Mod = M->module();
-  const SlotInfo &Slot = Mod.Slots[static_cast<size_t>(SlotId)];
+  // Resolution is execOne's InvokeVirtual, trapping *before* the args are
+  // consumed.
+  const SlotInfo &Slot = M->module().Slots[static_cast<size_t>(SlotId)];
   int64_t Receiver = M->operandStackData()[Top - Slot.ArgCount];
-  Heap &H = M->heap();
-  if (!H.isLive(Receiver)) {
-    M->setTrap(TrapKind::NullReference);
-    JC->StackTop = M->operandStackData() + Top;
-    return 1;
-  }
-  uint32_t ClassId = H.classOf(Receiver);
-  uint32_t Callee = ClassId == Heap::ArrayClass
-                        ? InvalidMethod
-                        : Mod.Classes[ClassId].Vtable[static_cast<size_t>(
-                              SlotId)];
-  if (Callee == InvalidMethod) {
-    M->setTrap(TrapKind::BadVirtualDispatch);
+  uint32_t Callee = InvalidMethod;
+  if (trapped(M, resolveVirtual(M->heap(), M->module(),
+                                static_cast<int64_t>(SlotId), Receiver,
+                                Callee))) {
     JC->StackTop = M->operandStackData() + Top;
     return 1;
   }
@@ -320,8 +209,6 @@ static uint64_t jtcJitRet(JitContext *JC, uint64_t HasValue,
              ? 2
              : 0;
 }
-
-} // extern "C"
 
 //===----------------------------------------------------------------------===//
 // CodeArena
@@ -472,17 +359,24 @@ private:
     E.movRI(Reg::Rax, static_cast<int64_t>(reinterpret_cast<uintptr_t>(Fn)));
     E.callR(Reg::Rax);
   }
-  /// test rdx, rdx; jnz <trap stub> -- for helpers returning
-  /// JitHelperResult.
-  void helperTrapCheckRdx(const IrOp &Op) {
-    E.testRR(Reg::Rdx, Reg::Rdx);
+  /// test <Flag>, <Flag>; jnz <trap stub> -- Flag is rdx for helpers
+  /// returning JitHelperResult, rax for helpers returning a bare trap flag.
+  void helperTrapCheck(const IrOp &Op, Reg Flag) {
+    E.testRR(Flag, Flag);
     jumpToExit(E.jcc(Cond::Ne), trapExit(Op, TrapKind::None));
   }
-  /// test rax, rax; jnz <trap stub> -- for helpers returning a bare trap
-  /// flag.
-  void helperTrapCheckRax(const IrOp &Op) {
-    E.testRR(Reg::Rax, Reg::Rax);
-    jumpToExit(E.jcc(Cond::Ne), trapExit(Op, TrapKind::None));
+  /// Calls the heap-access helper \p Fn, instantiated at the op's check
+  /// level. The checks it skips are counted *before* its residual trap
+  /// exit, so that exit counts them too (the stepper likewise counts the
+  /// elision before the bounds check can trap). The trap exit is emitted
+  /// only while a check remains; elisionWeight at None is the op's full
+  /// check count.
+  void accessCall(const IrOp &Op, const void *Fn, Reg Flag) {
+    uint64_t Skipped = elisionWeight(Op.I.Op, Op.Checks);
+    ElidedSoFar += Skipped;
+    helperCall(Fn);
+    if (Skipped < elisionWeight(Op.I.Op, CheckLevel::None))
+      helperTrapCheck(Op, Flag);
   }
 
   const TraceIR &IR;
@@ -623,7 +517,9 @@ void TraceCompiler::emitOp(const IrOp &Op) {
   }
 
   const Instruction &I = Op.I;
-  const int32_t LocalOff = I.A * 8; // for the local-slot ops
+  // Byte offset of local slot I.A, used only by the local-slot ops; other
+  // ops' operands can be any int32 (Iconst), so widen before scaling.
+  const int32_t LocalOff = static_cast<int32_t>(static_cast<int64_t>(I.A) * 8);
   switch (I.Op) {
   case Opcode::Nop:
     break;
@@ -724,17 +620,10 @@ void TraceCompiler::emitOp(const IrOp &Op) {
     E.movRM(Reg::Rdx, TopReg, -8);  // Idx
     E.movRM(Reg::Rsi, TopReg, -16); // Ref
     E.subRI(TopReg, 16);
-    if (Op.Elide == IrOp::ElideKind::Full) {
-      ElidedSoFar += 2;
-      helperCall(reinterpret_cast<const void *>(&jtcJitIaloadFast));
-    } else if (Op.Elide == IrOp::ElideKind::NullOnly) {
-      ElidedSoFar += 1;
-      helperCall(reinterpret_cast<const void *>(&jtcJitIaloadNoNull));
-      helperTrapCheckRdx(Op);
-    } else {
-      helperCall(reinterpret_cast<const void *>(&jtcJitIaload));
-      helperTrapCheckRdx(Op);
-    }
+    accessCall(Op, atLevel(Op.Checks, &jtcJitIaload<CheckLevel::All>,
+                           &jtcJitIaload<CheckLevel::NoNull>,
+                           &jtcJitIaload<CheckLevel::None>),
+               Reg::Rdx);
     pushRax();
     break;
   case Opcode::Iastore:
@@ -743,31 +632,19 @@ void TraceCompiler::emitOp(const IrOp &Op) {
     E.movRM(Reg::Rdx, TopReg, -16); // Idx
     E.movRM(Reg::Rsi, TopReg, -24); // Ref
     E.subRI(TopReg, 24);
-    if (Op.Elide == IrOp::ElideKind::Full) {
-      ElidedSoFar += 2;
-      helperCall(reinterpret_cast<const void *>(&jtcJitIastoreFast));
-    } else if (Op.Elide == IrOp::ElideKind::NullOnly) {
-      ElidedSoFar += 1;
-      helperCall(reinterpret_cast<const void *>(&jtcJitIastoreNoNull));
-      helperTrapCheckRax(Op);
-    } else {
-      helperCall(reinterpret_cast<const void *>(&jtcJitIastore));
-      helperTrapCheckRax(Op);
-    }
+    accessCall(Op, atLevel(Op.Checks, &jtcJitIastore<CheckLevel::All>,
+                           &jtcJitIastore<CheckLevel::NoNull>,
+                           &jtcJitIastore<CheckLevel::None>),
+               Reg::Rax);
     break;
   case Opcode::ArrayLength:
     E.movRR(Reg::Rdi, MachReg);
     E.movRM(Reg::Rsi, TopReg, -8); // Ref
     E.subRI(TopReg, 8);
-    if (Op.Elide != IrOp::ElideKind::None) {
-      // The liveness/class check is ArrayLength's only check, so both
-      // elision kinds skip everything (weight 1, like the stepper).
-      ElidedSoFar += 1;
-      helperCall(reinterpret_cast<const void *>(&jtcJitArrayLengthFast));
-    } else {
-      helperCall(reinterpret_cast<const void *>(&jtcJitArrayLength));
-      helperTrapCheckRdx(Op);
-    }
+    accessCall(Op, atLevel(Op.Checks, &jtcJitArrayLength<CheckLevel::All>,
+                           &jtcJitArrayLength<CheckLevel::NoNull>,
+                           &jtcJitArrayLength<CheckLevel::None>),
+               Reg::Rdx);
     pushRax();
     break;
   case Opcode::GetField:
@@ -775,17 +652,10 @@ void TraceCompiler::emitOp(const IrOp &Op) {
     E.movRM(Reg::Rsi, TopReg, -8); // Ref
     E.movRI(Reg::Rdx, I.A);        // Slot
     E.subRI(TopReg, 8);
-    if (Op.Elide == IrOp::ElideKind::Full) {
-      ElidedSoFar += 2;
-      helperCall(reinterpret_cast<const void *>(&jtcJitGetFieldFast));
-    } else if (Op.Elide == IrOp::ElideKind::NullOnly) {
-      ElidedSoFar += 1;
-      helperCall(reinterpret_cast<const void *>(&jtcJitGetFieldNoNull));
-      helperTrapCheckRdx(Op);
-    } else {
-      helperCall(reinterpret_cast<const void *>(&jtcJitGetField));
-      helperTrapCheckRdx(Op);
-    }
+    accessCall(Op, atLevel(Op.Checks, &jtcJitGetField<CheckLevel::All>,
+                           &jtcJitGetField<CheckLevel::NoNull>,
+                           &jtcJitGetField<CheckLevel::None>),
+               Reg::Rdx);
     pushRax();
     break;
   case Opcode::PutField:
@@ -794,23 +664,16 @@ void TraceCompiler::emitOp(const IrOp &Op) {
     E.movRM(Reg::Rsi, TopReg, -16); // Ref
     E.movRI(Reg::Rdx, I.A);         // Slot
     E.subRI(TopReg, 16);
-    if (Op.Elide == IrOp::ElideKind::Full) {
-      ElidedSoFar += 2;
-      helperCall(reinterpret_cast<const void *>(&jtcJitPutFieldFast));
-    } else if (Op.Elide == IrOp::ElideKind::NullOnly) {
-      ElidedSoFar += 1;
-      helperCall(reinterpret_cast<const void *>(&jtcJitPutFieldNoNull));
-      helperTrapCheckRax(Op);
-    } else {
-      helperCall(reinterpret_cast<const void *>(&jtcJitPutField));
-      helperTrapCheckRax(Op);
-    }
+    accessCall(Op, atLevel(Op.Checks, &jtcJitPutField<CheckLevel::All>,
+                           &jtcJitPutField<CheckLevel::NoNull>,
+                           &jtcJitPutField<CheckLevel::None>),
+               Reg::Rax);
     break;
   case Opcode::New:
     E.movRR(Reg::Rdi, MachReg);
     E.movRI(Reg::Rsi, I.A); // ClassId
     helperCall(reinterpret_cast<const void *>(&jtcJitNew));
-    helperTrapCheckRdx(Op);
+    helperTrapCheck(Op, Reg::Rdx);
     pushRax();
     break;
   case Opcode::NewArray:
@@ -818,7 +681,7 @@ void TraceCompiler::emitOp(const IrOp &Op) {
     E.movRM(Reg::Rsi, TopReg, -8); // Len
     E.subRI(TopReg, 8);
     helperCall(reinterpret_cast<const void *>(&jtcJitNewArray));
-    helperTrapCheckRdx(Op);
+    helperTrapCheck(Op, Reg::Rdx);
     pushRax();
     break;
   case Opcode::Iprint:

@@ -6,9 +6,10 @@
 /// .cpp) whose immediates -- local slot offsets, constants, helper
 /// addresses -- are patched at compile time; guards become a compare and
 /// a conditional branch to a side-exit stub. Heap-touching ops (arrays,
-/// fields, allocation, print) call extern "C" helpers that replicate
-/// Machine::execOne exactly, so the heap/trap/output semantics have one
-/// definition. Calls and returns inside the trace call frame helpers that
+/// fields, allocation, print) call runtime helpers built on the
+/// runtime/HeapOps.h accessors Machine::execOne also calls, one helper
+/// instantiation per check level, so the heap/trap/output semantics have
+/// one definition. Calls and returns inside the trace call frame helpers that
 /// run the Machine's real pushFrame/popFrame, then guard the dynamic
 /// continuation (resolved callee / return site) against what the trace
 /// recorded.

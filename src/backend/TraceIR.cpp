@@ -69,9 +69,7 @@ LowerResult lowerTrace(const PreparedModule &PM, const Trace &T,
     case Opcode::Iaload:
     case Opcode::Iastore:
     case Opcode::ArrayLength:
-      Op.Elide = Elisions[ElideCursor].Kind == MemElision::Full
-                     ? IrOp::ElideKind::Full
-                     : IrOp::ElideKind::NullOnly;
+      Op.Checks = Elisions[ElideCursor].level();
       break;
     default:
       break;

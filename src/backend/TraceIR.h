@@ -94,16 +94,11 @@ struct IrOp {
   uint32_t SrcBlockIndex = 0;
   uint32_t SrcPc = 0;
 
-  /// Check elision for heap-access Instr ops, copied from the trace's
-  /// MemElisions (None when the access was not proven, or the trace
-  /// carries no annotation). The compiler selects reduced-check helper
-  /// templates accordingly; a Full op needs no trap exit at all.
-  enum class ElideKind : uint8_t {
-    None = 0, ///< Emit the fully checked helper.
-    NullOnly, ///< Skip the liveness/class check; keep the bounds check.
-    Full,     ///< Skip every check (the access provably cannot trap).
-  };
-  ElideKind Elide = ElideKind::None;
+  /// Check level for heap-access Instr ops, from the trace's MemElisions
+  /// (All when the access was not proven, or the trace carries no
+  /// annotation). The compiler calls the helper instantiation for this
+  /// level; a CheckLevel::None op needs no trap exit at all.
+  CheckLevel Checks = CheckLevel::All;
 };
 
 /// One trace lowered for backend execution.

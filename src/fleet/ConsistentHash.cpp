@@ -13,6 +13,14 @@ uint64_t fleet::ringHash(const std::string &Key) {
     H ^= C;
     H *= 1099511628211ull;
   }
+  // FNV-1a's high bits barely move between keys that differ in one late
+  // byte ("node-0#k" vs "node-1#k"), which clusters the ring points of
+  // different nodes. MurmurHash3's fmix64 finalizer avalanches every bit.
+  H ^= H >> 33;
+  H *= 0xff51afd7ed558ccdull;
+  H ^= H >> 33;
+  H *= 0xc4ceb9fe1a85ec53ull;
+  H ^= H >> 33;
   return H;
 }
 

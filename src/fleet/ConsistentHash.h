@@ -24,8 +24,8 @@
 namespace jtc {
 namespace fleet {
 
-/// FNV-1a over \p Key, the ring's point hash (stable across processes,
-/// unlike std::hash).
+/// FNV-1a over \p Key finished with a 64-bit mixer, the ring's point
+/// hash (stable across processes, unlike std::hash).
 uint64_t ringHash(const std::string &Key);
 
 class HashRing {
@@ -46,6 +46,10 @@ public:
   /// Owner of \p Key: the first ring point clockwise from hash(Key).
   /// False when the ring is empty.
   bool route(const std::string &Key, uint32_t &Node) const;
+
+  /// Ring point hash -> owning node. A point owns the arc from its
+  /// counter-clockwise neighbour (exclusive) up to itself.
+  const std::map<uint64_t, uint32_t> &points() const { return Ring; }
 
 private:
   unsigned VNodes;

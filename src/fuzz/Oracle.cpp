@@ -10,7 +10,6 @@
 #include "fuzz/ValidateAudit.h"
 #include "interp/InstructionInterpreter.h"
 #include "interp/PreparedModule.h"
-#include "interp/ThreadedInterpreter.h"
 #include "runtime/Machine.h"
 #include "vm/TraceVM.h"
 
@@ -141,25 +140,12 @@ OracleResult fuzz::runOracle(const Module &M, const OracleConfig &Config) {
   // checks every executed block leader against the static analysis.
   // Output comparison cannot catch analysis soundness bugs (the analysis
   // is off the execution path), so this is its only oracle.
-  if (Config.CheckRefinement) {
+  {
     Comparer C(Result, "static-analysis");
     C.violations(checkRefinement(M, Config.MaxInstructions));
   }
 
   PreparedModule PM(M);
-
-  if (Config.IncludeThreaded) {
-    Comparer C(Result, "threaded");
-    ThreadedProgram TP(PM);
-    ThreadedResult TR = TP.run(Config.MaxInstructions);
-    C.outcome(TR.Status, TR.Trap);
-    // The threaded engine checks its budget at block granularity, so a
-    // trapped run's count can legitimately differ by the trap position
-    // inside a block; compare counts only for clean completion.
-    if (Result.RefStatus == RunStatus::Finished)
-      C.instructions(TR.Instructions);
-    C.output(TR.Output);
-  }
 
   const std::vector<GridPoint> Grid =
       Config.Grid.empty() ? defaultGrid() : Config.Grid;
@@ -184,9 +170,11 @@ OracleResult fuzz::runOracle(const Module &M, const OracleConfig &Config) {
     TraceVM VM(PM,
                VmOptions(Base).backend(backend::BackendKind::Interp));
     // The btrace recorder shadows the run: ground-truth block sequence
-    // plus an in-memory compressed stream, audited after the run.
+    // plus an in-memory compressed stream, audited after the run. Skipped
+    // under an injected cache fault (the replay engine has no fault to
+    // mirror).
     std::unique_ptr<BtraceRecorder> Rec;
-    if (Config.CheckBtrace && Config.Fault == CacheFault::None) {
+    if (Config.Fault == CacheFault::None) {
       Rec = std::make_unique<BtraceRecorder>(PM, VM);
       Rec->attach(VM);
     }
@@ -195,13 +183,15 @@ OracleResult fuzz::runOracle(const Module &M, const OracleConfig &Config) {
     C.instructions(R.Instructions);
     C.output(VM.machine().output());
     C.heap(fuzz::heapDigest(VM.machine().heap()), RefDigest);
-    if (Config.CheckInvariants)
-      C.violations(checkTraceVm(VM, R.Status));
-    if (Config.CheckPersist)
-      C.violations(checkPersistRoundTrip(VM));
+    C.violations(checkTraceVm(VM, R.Status));
+    // Persist: the captured snapshot must encode, decode and reinstall
+    // into a fresh session with an identical BCG + trace-cache digest.
+    C.violations(checkPersistRoundTrip(VM));
     if (Rec)
       C.violations(checkBtraceRoundTrip(PM, *Rec));
-    if (Config.CheckValidate && Config.Fault == CacheFault::None)
+    // On a run whose output matched the reference, any trace the offline
+    // validator rejects is a validator false positive.
+    if (Config.Fault == CacheFault::None)
       C.violations(checkValidateAudit(PM, VM));
 
     // Memory-elision equivalence: the same configuration with dynamic
@@ -231,12 +221,12 @@ OracleResult fuzz::runOracle(const Module &M, const OracleConfig &Config) {
       }
     }
 
-    // Backend equivalence: the same configuration on the JIT tier must
-    // be observationally indistinguishable -- including the adaptive
+    // Backend equivalence: the same configuration on the JIT tier
+    // (promotion threshold 0, so every dispatched trace compiles) must be
+    // observationally indistinguishable -- including the adaptive
     // bookkeeping (stats digest) and the emitted btrace stream, which
     // deliberately has no backend field.
-    if (Config.CheckBackends && Config.Fault == CacheFault::None &&
-        backend::jitSupportedHost()) {
+    if (Config.Fault == CacheFault::None && backend::jitSupportedHost()) {
       std::ostringstream JName;
       JName << "tracevm-jit[t=" << G.Threshold << " delay=" << G.Delay
             << " decay=" << G.Decay << "]";
@@ -277,12 +267,11 @@ OracleResult fuzz::runOracle(const Module &M, const OracleConfig &Config) {
               {JName.str(), "backend-stream-mismatch", OS.str()});
         }
       }
-      if (Config.CheckInvariants)
-        JC.violations(checkTraceVm(JitVM, JR.Status));
+      JC.violations(checkTraceVm(JitVM, JR.Status));
     }
   }
 
-  if (Config.IncludeNet) {
+  {
     Comparer C(Result, "net");
     NetConfig NC;
     NC.MaxInstructions = Config.MaxInstructions;
@@ -292,8 +281,7 @@ OracleResult fuzz::runOracle(const Module &M, const OracleConfig &Config) {
     C.instructions(R.Instructions);
     C.output(VM.machine().output());
     C.heap(fuzz::heapDigest(VM.machine().heap()), RefDigest);
-    if (Config.CheckInvariants)
-      C.violations(checkNetVm(VM));
+    C.violations(checkNetVm(VM));
   }
 
   Result.Ok = Result.Findings.empty();

@@ -3,13 +3,15 @@
 /// \file
 /// The differential oracle at the core of the fuzzing subsystem. One
 /// module is executed by every engine the repository implements -- the
-/// per-instruction reference interpreter, the direct-threaded engine, the
-/// TraceVM across a grid of (threshold, start-state delay, decay
-/// interval) configurations, and the Dynamo-NET baseline -- and all
-/// observable outcomes are cross-checked against the reference: run
-/// status, trap kind, executed instruction count, printed output and a
-/// digest of the final heap. After each profiled run the structural
-/// invariants of Invariants.h are audited as well, so bookkeeping bugs
+/// per-instruction reference interpreter, the TraceVM across a grid of
+/// (threshold, start-state delay, decay interval) configurations on both
+/// trace tiers and with check elision off, and the Dynamo-NET baseline
+/// -- and all observable outcomes are cross-checked against the
+/// reference: run status, trap kind, executed instruction count, printed
+/// output and a digest of the final heap. Every run is audited as well:
+/// the structural invariants of Invariants.h, the dynamic-refines-static
+/// analysis check, the persist round trip, the btrace round trip, the
+/// offline validator and the interp/JIT stats digest, so bookkeeping bugs
 /// that cannot change program output are still caught.
 ///
 //===----------------------------------------------------------------------===//
@@ -54,54 +56,10 @@ struct OracleConfig {
   /// TraceVM configurations to run; empty means defaultGrid().
   std::vector<GridPoint> Grid;
 
-  bool IncludeThreaded = true;
-  bool IncludeNet = true;
-
   /// Attach the telemetry ring to TraceVM runs; enables the event/counter
   /// reconciliation and retirement-law audits.
   bool Telemetry = true;
   uint32_t TelemetryCapacity = 1u << 18;
-
-  /// Audit profiler/cache invariants after every profiled run.
-  bool CheckInvariants = true;
-
-  /// Audit the persist layer after every profiled run: capture the VM's
-  /// snapshot, encode, decode, re-validate and reinstall it into a fresh
-  /// session, asserting the restored BCG + trace-cache digest matches the
-  /// donor exactly (checkPersistRoundTrip in Invariants.h).
-  bool CheckPersist = true;
-
-  /// Audit that dynamic facts refine the static analysis' may-sets
-  /// (Refinement.h): replays the reference run with per-block-leader
-  /// checks against a computed ModuleAnalysis.
-  bool CheckRefinement = true;
-
-  /// Audit the btrace pipeline after every profiled run: record the
-  /// dispatched block sequence, encode it through the compressed branch
-  /// tracer, then demand that strict decode reproduces the sequence
-  /// exactly, that replay reproduces the stats digest, and that tail
-  /// recovery lands on a suffix (checkBtraceRoundTrip in BtraceAudit.h).
-  /// Skipped automatically under an injected cache fault (the replay
-  /// engine has no fault to mirror).
-  bool CheckBtrace = true;
-
-  /// Audit the translation validator against the execution oracle after
-  /// every profiled run: re-validate every trace the session built and
-  /// flag any rejection, since on a run whose output matched the
-  /// reference a rejection is a validator false positive
-  /// (checkValidateAudit in ValidateAudit.h). Skipped under an injected
-  /// cache fault, like the btrace audit.
-  bool CheckValidate = true;
-
-  /// Differential backend axis: re-run every grid point under
-  /// --backend=jit (promotion threshold 0, so every dispatched trace is
-  /// compiled) and demand the exact observable run back -- status, trap,
-  /// instruction count, output, heap, the folded VmStats digest and,
-  /// when the btrace audit is on, the byte-identical compressed stream.
-  /// This is the interp/JIT equivalence contract of
-  /// backend/TraceBackend.h, enforced program-by-program. Skipped on
-  /// hosts without template-JIT support and under an injected fault.
-  bool CheckBackends = true;
 
   /// Validation mode for the grid's TraceVM runs. On exercises the
   /// construction-time hook on every generated program; Strict turns any
@@ -113,7 +71,7 @@ struct OracleConfig {
 };
 
 /// One disagreement or invariant violation. Engine identifies the run
-/// ("threaded", "net", "tracevm[t=0.97 delay=1 decay=32]"); Rule is a
+/// ("net", "tracevm[t=0.97 delay=1 decay=32]"); Rule is a
 /// stable identifier shared with Invariants.h.
 struct OracleFinding {
   std::string Engine;

@@ -3,11 +3,11 @@
 #include "harness/Experiment.h"
 
 #include "bytecode/Verifier.h"
-#include "interp/ThreadedInterpreter.h"
 #include "support/ArgParse.h"
 #include "support/Json.h"
 #include "support/Timer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,6 +46,25 @@ VmStats jtc::runWorkload(const WorkloadInfo &W, const VmOptions &Options,
   return VM.stats();
 }
 
+/// Times one TraceVM session of \p PM under \p Options. A session that
+/// does not finish aborts the experiment, like runWorkload: timing a run
+/// that trapped or stopped early would compare different work.
+static double timeSession(const WorkloadInfo &W, const PreparedModule &PM,
+                          const VmOptions &Options, VmStats &Stats) {
+  TraceVM VM(PM, Options);
+  Timer T;
+  RunResult R = VM.run();
+  double Sec = T.seconds();
+  if (R.Status != RunStatus::Finished) {
+    std::fprintf(stderr, "workload '%s' did not finish: %s\n", W.Name,
+                 R.Status == RunStatus::Trapped ? trapName(R.Trap)
+                                                : "instruction budget");
+    std::abort();
+  }
+  Stats = VM.stats();
+  return Sec;
+}
+
 OverheadSample jtc::measureProfilerOverhead(const WorkloadInfo &W,
                                             uint32_t ScaleOverride,
                                             int Repeats) {
@@ -57,35 +76,35 @@ OverheadSample jtc::measureProfilerOverhead(const WorkloadInfo &W,
   S.PlainSeconds = 1e100;
   S.ProfiledSeconds = 1e100;
 
-  // The timed interpreter is the direct-threaded engine -- the same
-  // substrate class the paper measures against (a fast threaded
-  // SableVM); timing the slow reference interpreter instead would
-  // understate the relative profiling cost.
-  ThreadedProgram TP(PM);
+  // Both sides are the serving engine with trace dispatch off, so every
+  // block goes through the same TraceVM dispatch loop. The profiled side
+  // runs the branch correlation graph hook at every block dispatch, with
+  // no trace cache attached -- the paper's "we modified SableVM to
+  // include the profiler code at the end of each basic block".
+  const VmOptions Plain = VmOptions().profiling(false).traces(false);
+  const VmOptions Profiled = VmOptions().traces(false);
   for (int Rep = 0; Rep < Repeats; ++Rep) {
-    // Plain direct-threaded-inlining interpreter: no per-dispatch hook.
-    {
-      Timer T;
-      ThreadedResult R = TP.run();
-      double Sec = T.seconds();
-      if (Sec < S.PlainSeconds)
-        S.PlainSeconds = Sec;
-      S.Dispatches = R.BlockDispatches;
-      S.Instructions = R.Instructions;
+    VmStats PlainStats, ProfiledStats;
+    S.PlainSeconds =
+        std::min(S.PlainSeconds, timeSession(W, PM, Plain, PlainStats));
+    S.ProfiledSeconds = std::min(
+        S.ProfiledSeconds, timeSession(W, PM, Profiled, ProfiledStats));
+    // The subtraction is only meaningful over identical work.
+    if (PlainStats.Instructions != ProfiledStats.Instructions ||
+        PlainStats.BlockDispatches != ProfiledStats.BlockDispatches) {
+      std::fprintf(stderr,
+                   "workload '%s': plain and profiled sessions differ "
+                   "(%llu vs %llu instructions, %llu vs %llu dispatches)\n",
+                   W.Name,
+                   static_cast<unsigned long long>(PlainStats.Instructions),
+                   static_cast<unsigned long long>(ProfiledStats.Instructions),
+                   static_cast<unsigned long long>(PlainStats.BlockDispatches),
+                   static_cast<unsigned long long>(
+                       ProfiledStats.BlockDispatches));
+      std::abort();
     }
-    // Profiled interpreter: the branch correlation graph hook runs at
-    // every block dispatch (the paper's Table VI experiment). No trace
-    // cache is attached, matching "we modified SableVM to include the
-    // profiler code at the end of each basic block".
-    {
-      ProfilerConfig PC;
-      BranchCorrelationGraph Graph(PC);
-      Timer T;
-      TP.runProfiled(Graph);
-      double Sec = T.seconds();
-      if (Sec < S.ProfiledSeconds)
-        S.ProfiledSeconds = Sec;
-    }
+    S.Dispatches = PlainStats.BlockDispatches;
+    S.Instructions = PlainStats.Instructions;
   }
   return S;
 }

@@ -34,11 +34,11 @@ const std::vector<uint32_t> &standardDelays();
 VmStats runWorkload(const WorkloadInfo &W, const VmOptions &Options,
                     uint32_t ScaleOverride = 0);
 
-/// One wall-clock overhead measurement (Table VI): the same block
-/// interpreter timed with and without the profiler hook.
+/// One wall-clock overhead measurement (Table VI): TraceVM sessions with
+/// trace dispatch off, timed with and without the profiler hook.
 struct OverheadSample {
-  double PlainSeconds = 0;    ///< Unmodified interpreter.
-  double ProfiledSeconds = 0; ///< Interpreter + profiler hook per dispatch.
+  double PlainSeconds = 0;    ///< profiling(false).traces(false) session.
+  double ProfiledSeconds = 0; ///< traces(false): profiler hook per dispatch.
   uint64_t Dispatches = 0;    ///< Block dispatches per run.
   uint64_t Instructions = 0;
 
@@ -50,10 +50,10 @@ struct OverheadSample {
   }
 };
 
-/// Times \p Repeats runs of each interpreter flavour over \p W (taking
-/// the fastest run of each to suppress scheduling noise). \p ScaleOverride
-/// of 0 uses the workload default; the overhead experiments typically
-/// scale up for stable timings.
+/// Times \p Repeats sessions of each flavour over \p W (taking the
+/// fastest run of each to suppress scheduling noise). Aborts unless both
+/// flavours finish with the same instruction and block-dispatch counts.
+/// \p ScaleOverride of 0 uses the workload default.
 OverheadSample measureProfilerOverhead(const WorkloadInfo &W,
                                        uint32_t ScaleOverride = 0,
                                        int Repeats = 3);

@@ -13,15 +13,6 @@ void BlockStepper::start() {
   Instructions = 0;
 }
 
-/// Dynamic checks one elided heap access skips: the liveness/class check
-/// always, plus the bounds check when Kind is Full (ArrayLength has no
-/// bounds check to begin with).
-static uint64_t elisionWeight(Opcode Op, uint8_t Kind) {
-  if (Kind != MemElision::Full || Op == Opcode::ArrayLength)
-    return 1;
-  return 2;
-}
-
 BlockStepper::StepStatus BlockStepper::step() {
   assert(Cur != InvalidBlockId && "step() before start() or after finish");
   const BasicBlock &BB = PM->block(Cur);
@@ -38,8 +29,8 @@ BlockStepper::StepStatus BlockStepper::step() {
   for (uint32_t Pc = BB.StartPc; Pc < BB.EndPc; ++Pc) {
     Effect E;
     if (EF && EI < EN && EF[EI].Pc == Pc) {
-      E = Mach->execOneElided(M.Code[Pc], EF[EI].Kind == MemElision::Full);
-      ChecksElided += elisionWeight(M.Code[Pc].Op, EF[EI].Kind);
+      E = Mach->execOneElided(M.Code[Pc], EF[EI].level());
+      ChecksElided += elisionWeight(M.Code[Pc].Op, EF[EI].level());
       ++EI;
     } else {
       E = Mach->execOne(M.Code[Pc]);

@@ -57,7 +57,8 @@ public:
 
   /// Arms check elision for the *next* step() only: \p Facts (\p Count
   /// entries, pc-ordered, all for the block about to execute) name the
-  /// heap accesses to run through Machine::execOneElided. The trace
+  /// heap accesses to run through Machine::execOneElided at each fact's
+  /// check level, counted with elisionWeight. The trace
   /// backends arm this per trace block; the one-shot contract means an
   /// ordinary (non-trace) step can never execute reduced-check code. The
   /// caller guarantees the facts' proof obligations -- execution reached
@@ -91,9 +92,9 @@ private:
 
 /// Runs \p Stepper to completion, invoking \p OnDispatch(NextBlock) before
 /// every block dispatch (including the entry block). The hook is a
-/// template parameter so a no-op hook compiles to the plain interpreter --
-/// this is how the Table VI experiment compares the profiled and
-/// unprofiled interpreters on identical dispatch loops.
+/// template parameter so a no-op hook compiles to the plain interpreter
+/// (runBlocks). The Table VI experiment does not use this loop: it times
+/// TraceVM sessions, the engine that serves traffic.
 template <typename HookT>
 RunResult runBlocksWithHook(BlockStepper &Stepper, HookT &&OnDispatch,
                             uint64_t MaxInstructions = ~0ull) {

@@ -74,6 +74,45 @@ Machine::PopInfo Machine::popFrame(bool HasValue) {
   return Info;
 }
 
+template <CheckLevel L> Effect Machine::execAccess(const Instruction &I) {
+  // Pop order is the opcode's operand order, the same at every level;
+  // the loaded value is pushed only when no check trapped.
+  int64_t V = 0;
+  switch (I.Op) {
+  case Opcode::GetField: {
+    int64_t Ref = pop();
+    if (TrapKind T = getField<L>(TheHeap, Ref, I.A, V); T != TrapKind::None)
+      return trapOut(T);
+    push(V);
+    return {};
+  }
+  case Opcode::PutField: {
+    int64_t Value = pop(), Ref = pop();
+    return done(putField<L>(TheHeap, Ref, I.A, Value));
+  }
+  case Opcode::Iaload: {
+    int64_t Idx = pop(), Ref = pop();
+    if (TrapKind T = arrayLoad<L>(TheHeap, Ref, Idx, V); T != TrapKind::None)
+      return trapOut(T);
+    push(V);
+    return {};
+  }
+  case Opcode::Iastore: {
+    int64_t Value = pop(), Idx = pop(), Ref = pop();
+    return done(arrayStore<L>(TheHeap, Ref, Idx, Value));
+  }
+  case Opcode::ArrayLength: {
+    int64_t Ref = pop();
+    if (TrapKind T = arrayLength<L>(TheHeap, Ref, V); T != TrapKind::None)
+      return trapOut(T);
+    push(V);
+    return {};
+  }
+  default:
+    return execOne(I);
+  }
+}
+
 Effect Machine::execOne(const Instruction &I) {
   switch (I.Op) {
   case Opcode::Nop:
@@ -259,14 +298,10 @@ Effect Machine::execOne(const Instruction &I) {
     const SlotInfo &Slot = TheModule.Slots[I.A];
     assert(operandDepth() >= Slot.ArgCount && "missing call arguments");
     int64_t Receiver = Operands[Operands.size() - Slot.ArgCount];
-    if (!TheHeap.isLive(Receiver))
-      return trapOut(TrapKind::NullReference);
-    uint32_t ClassId = TheHeap.classOf(Receiver);
-    if (ClassId == Heap::ArrayClass)
-      return trapOut(TrapKind::BadVirtualDispatch);
-    uint32_t Callee = TheModule.Classes[ClassId].Vtable[I.A];
-    if (Callee == InvalidMethod)
-      return trapOut(TrapKind::BadVirtualDispatch);
+    uint32_t Callee = InvalidMethod;
+    if (TrapKind T = resolveVirtual(TheHeap, TheModule, I.A, Receiver, Callee);
+        T != TrapKind::None)
+      return trapOut(T);
     return {EffectKind::Call, Callee, false};
   }
 
@@ -276,73 +311,26 @@ Effect Machine::execOne(const Instruction &I) {
     return {EffectKind::Ret, 0, true};
 
   case Opcode::New: {
-    const Class &C = TheModule.Classes[I.A];
-    int64_t Ref = TheHeap.allocObject(static_cast<uint32_t>(I.A), C.NumFields);
-    if (Ref == Heap::Null)
-      return trapOut(TrapKind::OutOfMemory);
+    int64_t Ref = Heap::Null;
+    if (TrapKind T = newObject(TheHeap, TheModule, I.A, Ref);
+        T != TrapKind::None)
+      return trapOut(T);
     push(Ref);
     return {};
   }
-  case Opcode::GetField: {
-    int64_t Ref = pop();
-    if (!TheHeap.isLive(Ref) || TheHeap.classOf(Ref) == Heap::ArrayClass)
-      return trapOut(TrapKind::NullReference);
-    auto Idx = static_cast<size_t>(I.A);
-    if (Idx >= TheHeap.slotCount(Ref))
-      return trapOut(TrapKind::FieldBounds);
-    push(TheHeap.load(Ref, Idx));
-    return {};
-  }
-  case Opcode::PutField: {
-    int64_t Value = pop();
-    int64_t Ref = pop();
-    if (!TheHeap.isLive(Ref) || TheHeap.classOf(Ref) == Heap::ArrayClass)
-      return trapOut(TrapKind::NullReference);
-    auto Idx = static_cast<size_t>(I.A);
-    if (Idx >= TheHeap.slotCount(Ref))
-      return trapOut(TrapKind::FieldBounds);
-    TheHeap.store(Ref, Idx, Value);
-    return {};
-  }
-
   case Opcode::NewArray: {
-    int64_t Len = pop();
-    if (Len < 0)
-      return trapOut(TrapKind::NegativeArraySize);
-    int64_t Ref = TheHeap.allocArray(Len);
-    if (Ref == Heap::Null)
-      return trapOut(TrapKind::OutOfMemory);
+    int64_t Len = pop(), Ref = Heap::Null;
+    if (TrapKind T = newArray(TheHeap, Len, Ref); T != TrapKind::None)
+      return trapOut(T);
     push(Ref);
     return {};
   }
-  case Opcode::Iaload: {
-    int64_t Idx = pop();
-    int64_t Ref = pop();
-    if (!TheHeap.isLive(Ref) || TheHeap.classOf(Ref) != Heap::ArrayClass)
-      return trapOut(TrapKind::NullReference);
-    if (Idx < 0 || static_cast<size_t>(Idx) >= TheHeap.slotCount(Ref))
-      return trapOut(TrapKind::ArrayBounds);
-    push(TheHeap.load(Ref, static_cast<size_t>(Idx)));
-    return {};
-  }
-  case Opcode::Iastore: {
-    int64_t Value = pop();
-    int64_t Idx = pop();
-    int64_t Ref = pop();
-    if (!TheHeap.isLive(Ref) || TheHeap.classOf(Ref) != Heap::ArrayClass)
-      return trapOut(TrapKind::NullReference);
-    if (Idx < 0 || static_cast<size_t>(Idx) >= TheHeap.slotCount(Ref))
-      return trapOut(TrapKind::ArrayBounds);
-    TheHeap.store(Ref, static_cast<size_t>(Idx), Value);
-    return {};
-  }
-  case Opcode::ArrayLength: {
-    int64_t Ref = pop();
-    if (!TheHeap.isLive(Ref) || TheHeap.classOf(Ref) != Heap::ArrayClass)
-      return trapOut(TrapKind::NullReference);
-    push(static_cast<int64_t>(TheHeap.slotCount(Ref)));
-    return {};
-  }
+  case Opcode::GetField:
+  case Opcode::PutField:
+  case Opcode::Iaload:
+  case Opcode::Iastore:
+  case Opcode::ArrayLength:
+    return execAccess<CheckLevel::All>(I);
 
   case Opcode::Iprint:
     Output.push_back(pop());
@@ -355,53 +343,14 @@ Effect Machine::execOne(const Instruction &I) {
   return {EffectKind::Halt, 0, false};
 }
 
-Effect Machine::execOneElided(const Instruction &I, bool Full) {
-  // Pop order and trap kinds mirror execOne exactly; only the elided
-  // checks are gone. The liveness/class check is always elided (that is
-  // what licenses calling this at all); Full additionally drops the
-  // bounds check. Heap's own asserts still police the proof in checked
-  // builds.
-  switch (I.Op) {
-  case Opcode::GetField: {
-    int64_t Ref = pop();
-    auto Idx = static_cast<size_t>(I.A);
-    if (!Full && Idx >= TheHeap.slotCount(Ref))
-      return trapOut(TrapKind::FieldBounds);
-    push(TheHeap.load(Ref, Idx));
-    return {};
+Effect Machine::execOneElided(const Instruction &I, CheckLevel Level) {
+  switch (Level) {
+  case CheckLevel::NoNull:
+    return execAccess<CheckLevel::NoNull>(I);
+  case CheckLevel::None:
+    return execAccess<CheckLevel::None>(I);
+  case CheckLevel::All:
+    break;
   }
-  case Opcode::PutField: {
-    int64_t Value = pop();
-    int64_t Ref = pop();
-    auto Idx = static_cast<size_t>(I.A);
-    if (!Full && Idx >= TheHeap.slotCount(Ref))
-      return trapOut(TrapKind::FieldBounds);
-    TheHeap.store(Ref, Idx, Value);
-    return {};
-  }
-  case Opcode::Iaload: {
-    int64_t Idx = pop();
-    int64_t Ref = pop();
-    if (!Full && (Idx < 0 || static_cast<size_t>(Idx) >= TheHeap.slotCount(Ref)))
-      return trapOut(TrapKind::ArrayBounds);
-    push(TheHeap.load(Ref, static_cast<size_t>(Idx)));
-    return {};
-  }
-  case Opcode::Iastore: {
-    int64_t Value = pop();
-    int64_t Idx = pop();
-    int64_t Ref = pop();
-    if (!Full && (Idx < 0 || static_cast<size_t>(Idx) >= TheHeap.slotCount(Ref)))
-      return trapOut(TrapKind::ArrayBounds);
-    TheHeap.store(Ref, static_cast<size_t>(Idx), Value);
-    return {};
-  }
-  case Opcode::ArrayLength: {
-    int64_t Ref = pop();
-    push(static_cast<int64_t>(TheHeap.slotCount(Ref)));
-    return {};
-  }
-  default:
-    return execOne(I);
-  }
+  return execOne(I);
 }

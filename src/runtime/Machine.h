@@ -3,10 +3,12 @@
 /// \file
 /// The Machine owns all mutable execution state (operand stack, locals,
 /// call frames, heap, output) and implements the semantics of every
-/// opcode. Both the per-instruction interpreter (Fig. 1 dispatch model)
-/// and the per-block direct-threaded interpreter (Fig. 2 model) drive the
-/// same Machine, so the two dispatch models agree on program behaviour by
-/// construction and differ only in dispatch granularity.
+/// opcode. The per-instruction interpreter (Fig. 1 dispatch model), the
+/// per-block BlockStepper (Fig. 2 model) that TraceVM, the interpreter
+/// trace tier and the NET baseline step with, all drive the same Machine,
+/// so the dispatch models agree on program behaviour by construction and
+/// differ only in dispatch granularity. Heap opcodes take their checks
+/// from runtime/HeapOps.h, which the template JIT's helpers share.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +17,7 @@
 
 #include "bytecode/Program.h"
 #include "runtime/Heap.h"
+#include "runtime/HeapOps.h"
 #include "runtime/Trap.h"
 
 #include <cassert>
@@ -61,15 +64,14 @@ public:
   /// dispatch boundaries.
   Effect execOne(const Instruction &I);
 
-  /// Executes one *heap-access* instruction with its dynamic checks
-  /// reduced, for accesses the trace-path alias analysis proved cannot
-  /// fail them (trace/Trace.h's MemElision). \p Full skips every check;
-  /// otherwise only the liveness/class check is skipped and the
-  /// field/array bounds check remains. The caller asserts the proof: an
+  /// Executes one *heap-access* instruction (GetField, PutField, Iaload,
+  /// Iastore, ArrayLength) at check level \p Level, for accesses the
+  /// trace-path alias analysis proved cannot fail the skipped checks
+  /// (trace/Trace.h's MemElision). The caller asserts the proof: an
   /// unjustified call is undefined behaviour (the same type-verified-
   /// input assumption the validator's reference reasoning documents).
-  /// Non-heap opcodes fall back to execOne.
-  Effect execOneElided(const Instruction &I, bool Full);
+  /// Other opcodes, and CheckLevel::All, are plain execOne.
+  Effect execOneElided(const Instruction &I, CheckLevel Level);
 
   /// Pushes a frame for \p Callee, moving its arguments from the operand
   /// stack into the new locals. Returns false (and sets a StackOverflow
@@ -129,7 +131,7 @@ public:
 
   // Arena access for the template JIT (src/backend): generated code works
   // on the raw operand and locals arrays through base pointers, and its
-  // runtime helpers replicate execOne's heap/trap/output semantics.
+  // runtime helpers call the same runtime/HeapOps.h accessors execOne does.
   // Pointers are invalidated by push/pop/resizeOperandStack and by frame
   // operations; the JIT re-derives them per trace run and never executes
   // native code across such an operation.
@@ -159,6 +161,15 @@ private:
     TrapValue = Kind;
     return {EffectKind::Trap, 0, false};
   }
+
+  /// Finishes a heap op: traps on \p Kind, otherwise falls through.
+  Effect done(TrapKind Kind) {
+    return Kind == TrapKind::None ? Effect{} : trapOut(Kind);
+  }
+
+  /// The operand-stack side of the elidable heap opcodes at check level
+  /// \p L; the checks are HeapOps.h's. Other opcodes go to execOne.
+  template <CheckLevel L> Effect execAccess(const Instruction &I);
 
   const Module &TheModule;
   Heap TheHeap;

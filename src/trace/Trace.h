@@ -14,6 +14,8 @@
 #ifndef JTC_TRACE_TRACE_H
 #define JTC_TRACE_TRACE_H
 
+#include "bytecode/Opcode.h"
+#include "runtime/HeapOps.h" // CheckLevel (header-only; no link edge)
 #include "support/Ids.h"
 
 #include <cstdint>
@@ -51,7 +53,24 @@ struct MemElision {
   uint32_t BlockIndex = 0; ///< Index into Trace::Blocks.
   uint32_t Pc = 0;         ///< Instruction pc within that block's method.
   uint8_t Kind = NullOnly;
+
+  /// The check level the access runs at inside the trace.
+  CheckLevel level() const {
+    return Kind == Full ? CheckLevel::None : CheckLevel::NoNull;
+  }
 };
+
+/// Dynamic checks one heap access \p Op skips at check level \p Level:
+/// the liveness/class check below All, plus the bounds check at None
+/// (ArrayLength has no bounds check to begin with). Both trace tiers
+/// count MemChecksElided with this, so they agree by construction.
+inline uint64_t elisionWeight(Opcode Op, CheckLevel Level) {
+  if (Level == CheckLevel::All)
+    return 0;
+  if (Level == CheckLevel::NoNull || Op == Opcode::ArrayLength)
+    return 1;
+  return 2;
+}
 
 struct Trace {
   TraceId Id = InvalidTraceId;
@@ -66,7 +85,7 @@ struct Trace {
   /// trace cache's annotate hook (AdaptiveEngine runs the alias analysis
   /// over the block sequence at construction time). Both execution tiers
   /// honor them: the interpreter tier via Machine::execOneElided, the JIT
-  /// via unchecked helper templates. Empty when annotation is off or
+  /// via reduced-check helper instantiations. Empty when annotation is off or
   /// nothing was provable. Purely an execution shortcut -- the elided
   /// checks are proven to pass, so behaviour and digests are unchanged.
   std::vector<MemElision> MemElisions;

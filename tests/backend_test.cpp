@@ -15,8 +15,11 @@
 #include "interp/InstructionInterpreter.h"
 #include "runtime/Heap.h"
 #include "vm/TraceVM.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace jtc;
 
@@ -206,6 +209,32 @@ TEST(BackendTest, InterpJitBitEquivalence) {
     // stats digest (which excludes the tier counters) must match.
     EXPECT_EQ(VI.currentStats().digest(), VJ.currentStats().digest());
   }
+}
+
+TEST(BackendTest, TiersCountTheSameElidedChecks) {
+  if (!hostHasJit())
+    GTEST_SKIP() << "no template-JIT support on this host";
+  // Both tiers count skipped checks with trace/Trace.h's elisionWeight:
+  // the stepper per executed access, the JIT per exit record. A run that
+  // executes the same accesses must report the same total on either tier.
+  unsigned NativeWithElision = 0;
+  for (const WorkloadInfo &W : allWorkloads()) {
+    Module M = W.Build(std::max(1u, W.DefaultScale / 20));
+    PreparedModule PM(M);
+    TraceVM VI(PM, VmOptions().backend(backend::BackendKind::Interp));
+    VI.run();
+    TraceVM VJ(PM, VmOptions()
+                       .backend(backend::BackendKind::Jit)
+                       .jitPromoteAfter(0));
+    VJ.run();
+    const VmStats SI = VI.currentStats(), SJ = VJ.currentStats();
+    EXPECT_EQ(SI.MemChecksElided, SJ.MemChecksElided) << W.Name;
+    if (SJ.TraceDispatchesJit > 0 && SJ.MemChecksElided > 0)
+      ++NativeWithElision;
+  }
+  // mpegaudio, soot and scimark elide checks inside native code even at
+  // this scale, so the comparison is not vacuous.
+  EXPECT_GE(NativeWithElision, 3u);
 }
 
 TEST(BackendTest, GuardSideExitMaterializesState) {

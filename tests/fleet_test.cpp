@@ -101,6 +101,35 @@ TEST(HashRing, VirtualNodesSpreadLoad) {
   }
 }
 
+/// Each node's share of the 64-bit key space, summed over the arcs its
+/// points own (exact; no key sampling).
+std::map<uint32_t, double> arcShares(const HashRing &R) {
+  const std::map<uint64_t, uint32_t> &Points = R.points();
+  std::map<uint32_t, double> Share;
+  uint64_t Prev = Points.rbegin()->first; // the wrap-around arc
+  for (const auto &[Point, Node] : Points) {
+    Share[Node] += static_cast<double>(Point - Prev) / 0x1p64; // mod 2^64
+    Prev = Point;
+  }
+  return Share;
+}
+
+TEST(HashRing, ArcOwnershipIsBalanced) {
+  for (uint32_t Nodes : {2u, 4u}) {
+    HashRing R;
+    for (uint32_t N = 0; N < Nodes; ++N)
+      R.add(N);
+    std::map<uint32_t, double> Share = arcShares(R);
+    double Total = 0;
+    for (uint32_t N = 0; N < Nodes; ++N) {
+      EXPECT_NEAR(Share[N], 1.0 / Nodes, 0.10)
+          << Nodes << " nodes, node " << N;
+      Total += Share[N];
+    }
+    EXPECT_NEAR(Total, 1.0, 1e-9);
+  }
+}
+
 TEST(HashRing, RemovalOnlyMovesTheDepartedNodesKeys) {
   HashRing R;
   for (uint32_t N = 0; N < 3; ++N)

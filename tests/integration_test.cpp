@@ -101,6 +101,12 @@ TEST(IntegrationTest, ProfilerOverheadMeasurementIsSane) {
       measureProfilerOverhead(W, integrationScale(W), /*Repeats=*/2);
   EXPECT_GT(S.Dispatches, 0u);
   EXPECT_GT(S.Instructions, S.Dispatches);
+  // The sample times the serving engine: its dispatch count is exactly a
+  // trace-less TraceVM session's block dispatches.
+  VmStats NoTraces =
+      runWorkload(W, VmOptions().traces(false), integrationScale(W));
+  EXPECT_EQ(S.Dispatches, NoTraces.BlockDispatches);
+  EXPECT_EQ(S.Instructions, NoTraces.Instructions);
   EXPECT_GT(S.PlainSeconds, 0.0);
   EXPECT_GT(S.ProfiledSeconds, 0.0);
   // The profiled interpreter cannot plausibly be faster by more than

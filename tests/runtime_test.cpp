@@ -299,6 +299,139 @@ TEST_F(MachineSemantics, IprintAppendsToOutput) {
 }
 
 //===----------------------------------------------------------------------===//
+// Heap ops at reduced check levels (runtime/HeapOps.h, execOneElided)
+//===----------------------------------------------------------------------===//
+
+TEST(HeapOpsTest, AllChecksLivenessAndClassFirst) {
+  Heap H;
+  int64_t Arr = H.allocArray(3);
+  int64_t Obj = H.allocObject(0, 2);
+  int64_t V = 0;
+  EXPECT_EQ(arrayLoad<CheckLevel::All>(H, Heap::Null, 0, V),
+            TrapKind::NullReference);
+  EXPECT_EQ(arrayStore<CheckLevel::All>(H, Obj, 0, 1),
+            TrapKind::NullReference);
+  EXPECT_EQ(arrayLength<CheckLevel::All>(H, 99, V), TrapKind::NullReference);
+  EXPECT_EQ(getField<CheckLevel::All>(H, Arr, 0, V), TrapKind::NullReference);
+  EXPECT_EQ(putField<CheckLevel::All>(H, 99, 0, 1), TrapKind::NullReference);
+  EXPECT_EQ(arrayLoad<CheckLevel::All>(H, Arr, 3, V), TrapKind::ArrayBounds);
+  EXPECT_EQ(getField<CheckLevel::All>(H, Obj, 2, V), TrapKind::FieldBounds);
+}
+
+TEST(HeapOpsTest, NoNullStillTrapsOnBounds) {
+  Heap H;
+  int64_t Arr = H.allocArray(3);
+  int64_t Obj = H.allocObject(0, 2);
+  int64_t V = 7;
+  EXPECT_EQ(arrayLoad<CheckLevel::NoNull>(H, Arr, 3, V), TrapKind::ArrayBounds);
+  EXPECT_EQ(arrayLoad<CheckLevel::NoNull>(H, Arr, -1, V),
+            TrapKind::ArrayBounds);
+  EXPECT_EQ(arrayStore<CheckLevel::NoNull>(H, Arr, 3, 1),
+            TrapKind::ArrayBounds);
+  EXPECT_EQ(getField<CheckLevel::NoNull>(H, Obj, 2, V), TrapKind::FieldBounds);
+  EXPECT_EQ(putField<CheckLevel::NoNull>(H, Obj, 2, 1), TrapKind::FieldBounds);
+  EXPECT_EQ(V, 7); // a trapped load writes nothing
+  // In range, the accesses go through.
+  EXPECT_EQ(arrayStore<CheckLevel::NoNull>(H, Arr, 2, 11), TrapKind::None);
+  EXPECT_EQ(arrayLoad<CheckLevel::NoNull>(H, Arr, 2, V), TrapKind::None);
+  EXPECT_EQ(V, 11);
+  EXPECT_EQ(putField<CheckLevel::NoNull>(H, Obj, 1, 12), TrapKind::None);
+  EXPECT_EQ(getField<CheckLevel::NoNull>(H, Obj, 1, V), TrapKind::None);
+  EXPECT_EQ(V, 12);
+  EXPECT_EQ(arrayLength<CheckLevel::NoNull>(H, Arr, V), TrapKind::None);
+  EXPECT_EQ(V, 3);
+}
+
+TEST(HeapOpsTest, NoneNeverTrapsOnValidInput) {
+  Heap H;
+  int64_t Arr = H.allocArray(4);
+  int64_t Obj = H.allocObject(0, 3);
+  int64_t V = 0;
+  for (int64_t I = 0; I < 4; ++I) {
+    EXPECT_EQ(arrayStore<CheckLevel::None>(H, Arr, I, 10 + I), TrapKind::None);
+    EXPECT_EQ(arrayLoad<CheckLevel::None>(H, Arr, I, V), TrapKind::None);
+    EXPECT_EQ(V, 10 + I);
+  }
+  for (int64_t S = 0; S < 3; ++S) {
+    EXPECT_EQ(putField<CheckLevel::None>(H, Obj, S, 20 + S), TrapKind::None);
+    EXPECT_EQ(getField<CheckLevel::None>(H, Obj, S, V), TrapKind::None);
+    EXPECT_EQ(V, 20 + S);
+  }
+  EXPECT_EQ(arrayLength<CheckLevel::None>(H, Arr, V), TrapKind::None);
+  EXPECT_EQ(V, 4);
+}
+
+TEST_F(MachineSemantics, ElidedNoNullStillTrapsOnBounds) {
+  Mach.push(3);
+  Mach.execOne(Instruction(Opcode::NewArray));
+  Mach.push(3);
+  EXPECT_EQ(
+      Mach.execOneElided(Instruction(Opcode::Iaload), CheckLevel::NoNull).Kind,
+      EffectKind::Trap);
+  EXPECT_EQ(Mach.trap(), TrapKind::ArrayBounds);
+
+  Machine Fresh(M);
+  Fresh.start(0);
+  Fresh.execOne(Instruction(Opcode::New, 0)); // class C: 2 fields
+  EXPECT_EQ(Fresh
+                .execOneElided(Instruction(Opcode::GetField, 2),
+                               CheckLevel::NoNull)
+                .Kind,
+            EffectKind::Trap);
+  EXPECT_EQ(Fresh.trap(), TrapKind::FieldBounds);
+}
+
+TEST_F(MachineSemantics, ElidedNoneRunsValidAccesses) {
+  const CheckLevel None = CheckLevel::None;
+  Mach.push(4);
+  Mach.execOne(Instruction(Opcode::NewArray));
+  int64_t Arr = Mach.pop();
+  Mach.push(Arr);
+  Mach.push(3);
+  Mach.push(55);
+  EXPECT_EQ(Mach.execOneElided(Instruction(Opcode::Iastore), None).Kind,
+            EffectKind::Next);
+  Mach.push(Arr);
+  Mach.push(3);
+  EXPECT_EQ(Mach.execOneElided(Instruction(Opcode::Iaload), None).Kind,
+            EffectKind::Next);
+  EXPECT_EQ(Mach.pop(), 55);
+  Mach.push(Arr);
+  EXPECT_EQ(Mach.execOneElided(Instruction(Opcode::ArrayLength), None).Kind,
+            EffectKind::Next);
+  EXPECT_EQ(Mach.pop(), 4);
+
+  Mach.execOne(Instruction(Opcode::New, 0));
+  int64_t Obj = Mach.pop();
+  Mach.push(Obj);
+  Mach.push(66);
+  EXPECT_EQ(Mach.execOneElided(Instruction(Opcode::PutField, 1), None).Kind,
+            EffectKind::Next);
+  Mach.push(Obj);
+  EXPECT_EQ(Mach.execOneElided(Instruction(Opcode::GetField, 1), None).Kind,
+            EffectKind::Next);
+  EXPECT_EQ(Mach.pop(), 66);
+  EXPECT_EQ(Mach.trap(), TrapKind::None);
+  EXPECT_EQ(Mach.operandDepth(), 0u);
+
+  // Non-heap opcodes are plain execOne at any level.
+  Mach.push(2);
+  Mach.push(3);
+  EXPECT_EQ(Mach.execOneElided(Instruction(Opcode::Imul), None).Kind,
+            EffectKind::Next);
+  EXPECT_EQ(Mach.pop(), 6);
+}
+
+TEST_F(MachineSemantics, ElidedAtLevelAllIsExecOne) {
+  Mach.push(Heap::Null);
+  EXPECT_EQ(
+      Mach.execOneElided(Instruction(Opcode::GetField, 0), CheckLevel::All)
+          .Kind,
+      EffectKind::Trap);
+  EXPECT_EQ(Mach.trap(), TrapKind::NullReference);
+}
+
+//===----------------------------------------------------------------------===//
 // Machine: frames
 //===----------------------------------------------------------------------===//
 

@@ -15,16 +15,11 @@
 ///   --max-instr=<n>      per-engine instruction budget
 ///   --no-minimize        keep failing programs unreduced
 ///   --no-traps           generate total programs only
-///   --no-net             skip the NET baseline engine
-///   --no-threaded        skip the direct-threaded engine
 ///   --inject=<fault>     deliberately break the trace cache and expect
 ///                        the oracle to notice: skip-invalidation or
 ///                        skip-retirement (self-test mode)
 ///   --validate=<mode>    trace validation in the grid VMs: off, on
 ///                        (default) or strict (abort on any rejection)
-///   --no-validate-audit  skip the offline validator-vs-oracle audit
-///   --no-backend-audit   skip the interp-vs-jit backend equivalence
-///                        re-run of every grid point
 ///   --repro-dir=<dir>    write failing cases as .jasm reproducers
 ///   --json[=<file>]      campaign report as JSON (stdout if no file)
 ///   --features=<csv>     (gen) enable only the listed statement features:
@@ -74,13 +69,10 @@ int usage() {
       << "usage: jtc-fuzz <run|replay> [files...] [options]\n"
          "  run options: --seed=N|ci --iterations=N --time=SECONDS\n"
          "               --max-failures=N --max-instr=N --no-minimize\n"
-         "               --no-traps --no-net --no-threaded --no-refinement\n"
-         "               --no-persist-audit --no-btrace-audit\n"
-         "               --validate=off|on|strict --no-validate-audit\n"
-         "               --no-backend-audit\n"
+         "               --no-traps --validate=off|on|strict\n"
          "               --inject=skip-invalidation|skip-retirement\n"
          "               --repro-dir=DIR --json[=FILE]\n"
-         "  replay options: --max-instr=N --no-net --no-threaded\n"
+         "  replay options: --max-instr=N\n"
          "  gen options: --seed=N --features=loops,calls,switches,virtual,\n"
          "               fields,arrays,traps --out=FILE --comment=TEXT\n";
   return 2;
@@ -93,9 +85,7 @@ bool parseOptions(int Argc, char **Argv, ToolOptions &Opts) {
   // Traps are part of normal fuzzing coverage; tests that need total
   // programs opt out with --no-traps.
   Opts.Fuzz.Gen.Features.Traps = true;
-  bool NoMinimize = false, NoTraps = false, NoNet = false, NoThreaded = false;
-  bool NoRefinement = false, NoPersistAudit = false, NoBtraceAudit = false;
-  bool NoValidateAudit = false, NoBackendAudit = false;
+  bool NoMinimize = false, NoTraps = false;
   ArgParser P;
   P.positionals(&Opts.Files)
       .custom(
@@ -120,13 +110,6 @@ bool parseOptions(int Argc, char **Argv, ToolOptions &Opts) {
       .uintOpt("max-instr", &Opts.Fuzz.Oracle.MaxInstructions)
       .flag("no-minimize", &NoMinimize)
       .flag("no-traps", &NoTraps)
-      .flag("no-net", &NoNet)
-      .flag("no-threaded", &NoThreaded)
-      .flag("no-refinement", &NoRefinement)
-      .flag("no-persist-audit", &NoPersistAudit)
-      .flag("no-btrace-audit", &NoBtraceAudit)
-      .flag("no-validate-audit", &NoValidateAudit)
-      .flag("no-backend-audit", &NoBackendAudit)
       .choice("validate",
               {{"off", ValidateMode::Off},
                {"on", ValidateMode::On},
@@ -198,20 +181,6 @@ bool parseOptions(int Argc, char **Argv, ToolOptions &Opts) {
     Opts.Fuzz.Minimize = false;
   if (NoTraps)
     Opts.Fuzz.Gen.Features.Traps = false;
-  if (NoNet)
-    Opts.Fuzz.Oracle.IncludeNet = false;
-  if (NoThreaded)
-    Opts.Fuzz.Oracle.IncludeThreaded = false;
-  if (NoRefinement)
-    Opts.Fuzz.Oracle.CheckRefinement = false;
-  if (NoPersistAudit)
-    Opts.Fuzz.Oracle.CheckPersist = false;
-  if (NoBtraceAudit)
-    Opts.Fuzz.Oracle.CheckBtrace = false;
-  if (NoValidateAudit)
-    Opts.Fuzz.Oracle.CheckValidate = false;
-  if (NoBackendAudit)
-    Opts.Fuzz.Oracle.CheckBackends = false;
   return true;
 }
 
